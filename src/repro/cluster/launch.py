@@ -7,7 +7,8 @@ per machine/process, complets moving between them — realised with
 - **Child**: ``python -m repro.cluster.launch --serve --name B --port N
   --peer A=127.0.0.1:M ...`` runs one Core until it is shut down
   (remotely via the ``shutdown`` admin operation, or by signal).  It
-  prints ``READY <name> <port>`` on stdout once its listener accepts.
+  prints ``READY <name> <port>`` on stdout once its listener accepts
+  and any ``--recover`` restore is done.
 - **Parent**: :class:`CoreProcesses` preallocates a port per Core,
   spawns the children with the full peer map, runs a local *driver*
   Core on its own hub (the experimenter's seat: instantiate, move,
@@ -30,11 +31,13 @@ identity preserved — before announcing READY (see docs/FAILURES.md).
 from __future__ import annotations
 
 import argparse
+import collections
 import logging
 import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -80,74 +83,22 @@ def _parse_peer(spec: str) -> tuple[str, tuple[str, int]]:
         ) from None
 
 
-class ChildCheckpointer:
-    """Periodic durable checkpoints of every complet a child Core hosts.
+def checkpoint_sweep(core: Core, store: "FileCheckpointStore") -> int:
+    """Durably checkpoint every pull-group ``core`` hosts; records written.
 
-    The in-process :class:`~repro.recovery.CheckpointManager` protects
-    individual complets through the cluster harness; a child process has
-    no harness, so this standalone checkpointer sweeps the whole
-    repository instead — every hosted complet, with its local pull-group
-    — into the shared :class:`~repro.recovery.FileCheckpointStore`.
-    Each record names this Core as host, which is exactly what a
-    successor process (``--recover``) and the cluster-side
-    :class:`~repro.recovery.RecoveryManager` key on.
+    A child process has no cluster-wide
+    :class:`~repro.recovery.CheckpointManager`, so it sweeps its whole
+    repository on a timer instead.  Each record names this Core as host,
+    which is what a successor process (``--recover``) keys on.
     """
+    from repro.recovery.checkpoint import checkpoint_group
 
-    def __init__(
-        self, core: Core, store: "FileCheckpointStore", interval: float = 0.5
-    ) -> None:
-        if interval <= 0.0:
-            raise ConfigurationError(f"checkpoint interval must be positive: {interval}")
-        self.core = core
-        self.store = store
-        self.interval = interval
-        self._timer = None
-
-    def start(self) -> None:
-        self._timer = self.core.scheduler.call_every(self.interval, self.sweep)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def sweep(self) -> int:
-        """Checkpoint every hosted complet once; records written."""
-        from repro.core import persistence
-        from repro.recovery.checkpoint import local_pull_group
-        from repro.recovery.store import CheckpointRecord
-
-        core = self.core
-        written = 0
-        now = core.scheduler.clock.now()
-        taken = core.metrics.counter("checkpoint.taken")
-        for complet_id in core.repository.complet_ids():
-            anchor = core.repository.get(complet_id)
-            if anchor is None:
-                continue
-            group = tuple(
-                member.complet_id for member in local_pull_group(core, anchor)
-            )
-            try:
-                snap = persistence.snapshot(core, anchor)
-            except FarGoError:
-                logger.warning(
-                    "durable checkpoint of %s at %s failed",
-                    complet_id, core.name, exc_info=True,
-                )
-                continue
-            self.store.put(
-                CheckpointRecord(
-                    complet_id=complet_id,
-                    data=snap.to_bytes(),
-                    taken_at=now,
-                    host=core.name,
-                    group=group,
-                )
-            )
-            taken.inc()
-            written += 1
-        return written
+    done: set = set()
+    for complet_id in core.repository.complet_ids():
+        anchor = core.repository.get(complet_id)
+        if anchor is not None and complet_id not in done:
+            done.update(checkpoint_group(core, anchor, store)[0])
+    return len(done)
 
 
 def restore_from_store(core: Core, store: "FileCheckpointStore") -> list[str]:
@@ -155,28 +106,25 @@ def restore_from_store(core: Core, store: "FileCheckpointStore") -> list[str]:
 
     Runs in a freshly-started child before it announces READY: every
     record whose last known host is this Core's name is brought back
-    under its *original* identity (the repository is empty and no
-    registry entry can contradict a newborn process, so
-    ``keep_identity`` cannot be refused locally).  Returns the restored
+    under its *original* identity.  A record whose identity something
+    contradicts is skipped, not forked under a fresh one — its record
+    would be restored again at every rebirth.  Returns the restored
     ids' display forms.
     """
-    from repro.core import persistence
+    from repro.recovery.checkpoint import restore_checkpoint
 
     restored: list[str] = []
     for record in store.hosted_at(core.name):
         try:
-            snap = persistence.Snapshot.from_bytes(record.data)
-            stub = persistence.restore(core, snap, keep_identity=True)
+            new_id, _address, _kept = restore_checkpoint(
+                core, record.data, keep_identity=True, fallback=False
+            )
         except FarGoError:
             logger.warning(
                 "restore of %s at reborn %s failed",
                 record.complet_id, core.name, exc_info=True,
             )
             continue
-        from repro.complet.stub import stub_target_id, stub_tracker
-
-        new_id = stub_target_id(stub)
-        core.locator.publish(new_id, stub_tracker(stub).address)
         restored.append(str(new_id))
     return restored
 
@@ -187,7 +135,6 @@ def serve(
     peers: dict[str, tuple[str, int]],
     *,
     host: str = "127.0.0.1",
-    ready_stream=None,
     checkpoint_dir: str | None = None,
     checkpoint_interval: float = 0.5,
     recover: bool = False,
@@ -199,15 +146,16 @@ def serve(
     a real-clock process.  With ``checkpoint_dir`` the Core durably
     checkpoints its hosted complets every ``checkpoint_interval``
     seconds; with ``recover`` it first restores whatever its predecessor
-    last checkpointed there (identity preserved), *before* READY — so a
-    supervisor's successful probe implies the state is back.
+    last checkpointed there (identity preserved).  READY is printed only
+    after that restore — the listener already answers probes before it,
+    so READY, not a probe, is what tells a parent the state is back.
     """
     scheduler = Scheduler(RealClock())
     transport = TcpTransport(scheduler, host=host, ports={name: port})
     core = Core(name, transport, scheduler)
     for peer_name, address in peers.items():
         transport.add_peer(peer_name, address)
-    checkpointer = None
+    timer = None
     if checkpoint_dir is not None:
         from repro.recovery.store import FileCheckpointStore
 
@@ -219,23 +167,21 @@ def serve(
                     f"RESTORED {name} {len(restored)} {' '.join(restored)}",
                     file=sys.stderr, flush=True,
                 )
-        checkpointer = ChildCheckpointer(core, store, checkpoint_interval)
-        checkpointer.start()
-    stream = ready_stream if ready_stream is not None else sys.stdout
-    print(f"{READY_PREFIX} {name} {transport.local_address(name)[1]}", file=stream, flush=True)
+        timer = scheduler.call_every(checkpoint_interval, checkpoint_sweep, core, store)
+    print(f"{READY_PREFIX} {name} {transport.local_address(name)[1]}", flush=True)
     try:
         while core.is_running:
             scheduler.fire_due()
             time.sleep(_SERVE_INTERVAL)
     finally:
-        if checkpointer is not None:
+        if timer is not None:
             # A last sweep on graceful shutdown; a SIGKILLed child relies
             # on its periodic sweeps instead.
+            timer.cancel()
             try:
-                checkpointer.sweep()
+                checkpoint_sweep(core, store)
             except FarGoError:
                 pass
-            checkpointer.stop()
         if core.is_running:
             core.shutdown()
         transport.close()
@@ -273,6 +219,7 @@ class CoreProcesses:
     transport: TcpTransport | None = field(default=None, init=False)
     processes: dict[str, subprocess.Popen] = field(default_factory=dict, init=False)
     addresses: dict[str, tuple[str, int]] = field(default_factory=dict, init=False)
+    _outputs: dict[str, "_ChildOutput"] = field(default_factory=dict, init=False, repr=False)
 
     def __enter__(self) -> "CoreProcesses":
         return self.start()
@@ -333,47 +280,95 @@ class CoreProcesses:
 
         With ``recover=True`` the child restores its predecessor's
         durable checkpoints before READY (requires ``checkpoint_dir``).
-        Replaces any previous process handle for ``name``; the caller is
-        responsible for the old process being gone.
+        Replaces any previous process handle for ``name``, closing its
+        output pipe; the caller is responsible for the old process being
+        gone.
         """
         if name not in self.addresses:
             raise ConfigurationError(f"unknown child Core {name!r}")
+        self._release(name)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
         process = subprocess.Popen(
             self.command_for(name, recover=recover),
             stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
             text=True,
+            errors="replace",
             env=env,
         )
         self.processes[name] = process
+        self._outputs[name] = _ChildOutput(process.stdout)
         return process
 
     def await_child(self, name: str, timeout: float | None = None) -> None:
-        """Block until child ``name``'s listener answers (probe)."""
-        assert self.transport is not None
+        """Block until child ``name`` prints READY (after any restore)."""
         budget = timeout if timeout is not None else self.startup_timeout
         deadline = time.monotonic() + budget
         process = self.processes[name]
-        while not self.transport.probe(name, timeout=1.0):
+        output = self._outputs[name]
+        while not output.ready.wait(0.05):
             if process.poll() is not None:
-                _out, err = process.communicate()
+                tail = output.finish(self.shutdown_timeout)
+                if output.ready.is_set():
+                    return
                 raise CoreError(
                     f"child Core {name!r} exited with status "
-                    f"{process.returncode} during startup:\n{err}"
+                    f"{process.returncode} during startup:\n{tail}"
                 )
             if time.monotonic() > deadline:
                 raise CoreError(
                     f"child Core {name!r} did not come up within {budget}s"
                 )
-            time.sleep(0.05)
+
+    def respawn_on_fresh_port(self, name: str, *, recover: bool = False) -> None:
+        """Reap child ``name`` and respawn it on a fresh port; waits for READY.
+
+        For a child whose preallocated port was taken in the meantime
+        (e.g. as another process's ephemeral port).  The caller announces
+        the new address to the rest of the deployment.
+        """
+        self.reap(name)
+        host, _port = self.addresses[name]
+        self.addresses[name] = (host, free_port(host))
+        self.spawn_child(name, recover=recover)
+        try:
+            self.await_child(name)
+        except CoreError:
+            self.reap(name)  # leave a corpse, not a half-started child
+            raise
+
+    def reap(self, name: str) -> None:
+        """Kill child ``name`` if it is still running, and wait for it."""
+        process = self.processes[name]
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=self.shutdown_timeout)
 
     def _await_ready(self) -> None:
-        """Block until every child's listener answers (READY + probe)."""
+        """Block until every child has printed READY."""
+        assert self.driver is not None and self.transport is not None
         deadline = time.monotonic() + self.startup_timeout
+        moved = []
         for name in self.names:
-            self.await_child(name, timeout=max(0.1, deadline - time.monotonic()))
+            try:
+                self.await_child(name, timeout=max(0.1, deadline - time.monotonic()))
+            except CoreError:
+                if self.processes[name].poll() is None:
+                    raise  # hung, not dead: a fresh port would not help
+                self.respawn_on_fresh_port(name)
+                moved.append(name)
+        for name in moved:
+            address = self.addresses[name]
+            self.transport.add_peer(name, address)
+            for other in self.names:
+                if other != name:
+                    self.driver.admin(other, "add_peer", peer=name, address=address)
+
+    def _release(self, name: str) -> None:
+        output = self._outputs.pop(name, None)
+        if output is not None:
+            output.finish(self.shutdown_timeout)
 
     def stop(self) -> None:
         """Shut children down gracefully, then release the driver hub."""
@@ -394,6 +389,8 @@ class CoreProcesses:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=self.shutdown_timeout)
+        for name in list(self._outputs):
+            self._release(name)
         self.processes.clear()
         if driver is not None and driver.is_running:
             driver.shutdown()
@@ -401,6 +398,32 @@ class CoreProcesses:
             self.transport.close()
         self.driver = None
         self.transport = None
+
+
+class _ChildOutput:
+    """Drains a child's merged stdout/stderr (so it never blocks on a
+    full pipe), spots READY, and keeps the tail for startup errors."""
+
+    def __init__(self, stream) -> None:
+        self.ready = threading.Event()
+        self._tail: collections.deque[str] = collections.deque(maxlen=200)
+        self._thread = threading.Thread(
+            target=self._drain, args=(stream,), name="repro-child-output", daemon=True
+        )
+        self._thread.start()
+
+    def _drain(self, stream) -> None:
+        with stream:
+            for line in stream:
+                if line.startswith(READY_PREFIX + " "):
+                    self.ready.set()
+                else:
+                    self._tail.append(line)
+
+    def finish(self, timeout: float) -> str:
+        """Wait for the (exited) child's end of output; the kept tail."""
+        self._thread.join(timeout)
+        return "".join(self._tail)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,46 +1,35 @@
 """Process supervision: self-healing multi-process TCP deployments.
 
-The multi-process launcher (:mod:`repro.cluster.launch`) historically
-treated a dead child as fatal — ROADMAP item 1 left "restarting dead
-children from the recovery layer" open.  The :class:`Supervisor` closes
-that loop:
+The :class:`Supervisor` is the process trigger of the recovery layer's
+one reconfiguration path (the simulated trigger is a
+:class:`~repro.recovery.FailureDetector` verdict handled by the
+:class:`~repro.recovery.RecoveryManager`); both use the primitives of
+:mod:`repro.recovery`.
 
-- **Watch** — a monitor thread fuses two liveness sources per child:
-  ``waitpid`` (``Popen.poll``: the OS says the process exited, with an
-  exit code or signal) and failure-detector-style probe verdicts over
-  the driver's :class:`~repro.net.tcp.TcpTransport` (the network says
-  the Core stopped answering).  A SIGKILLed child is *dead* (poll
-  reports the signal) and gets restarted; a child that is alive but
+- **Watch** — a monitor thread fuses ``waitpid`` (``Popen.poll``: exit
+  code or signal) with the :meth:`~repro.recovery.DetectorConfig.verdict`
+  ladder over TCP probes.  A dead child is restarted; a child alive but
   unreachable is *partitioned* — restarting it would fork the
-  deployment, so the supervisor only records the verdict.
+  deployment, so only the verdict is recorded.
+- **Restart** — a :class:`RestartPolicy` allows ``max_restarts`` within
+  ``window`` seconds, with :data:`DEFAULT_BACKOFF` between consecutive
+  respawns.  The child respawns on its preallocated port, or on a fresh
+  one announced to every survivor through ``add_peer``.
+- **Re-admit** — the successor restores its predecessor's durable
+  checkpoints (``--recover``, identities kept) and only then prints the
+  READY line the respawn waits for.  The supervisor fetches its tracker
+  map (``hosted_trackers``) and runs ``repair_core`` with it on the
+  driver and every survivor.  A map that cannot be fetched is unknown,
+  not empty: the child stays ``readmitting`` and the next pass retries.
+- **Escalate** — past the budget the child is permanently failed; its
+  last checkpoints are restored on a survivor under *fresh* identities
+  and the deployment is repaired with an empty map (old references
+  dangle with typed errors rather than split-brain).
 
-- **Restart** — a per-Core :class:`RestartPolicy` bounds the healing:
-  at most ``max_restarts`` within ``window`` seconds, exponential
-  backoff between consecutive respawns (via the existing
-  :class:`~repro.net.retry.RetryPolicy` schedule), then escalation to
-  permanent failure.  The child respawns on its preallocated port
-  (listener sockets use ``SO_REUSEADDR``); when that port turns out
-  unusable, a fresh port is allocated and every surviving Core's
-  address book is updated through the ``add_peer`` admin operation.
-
-- **Re-admit** — the respawned child restores its predecessor's durable
-  checkpoints (``--recover`` against the shared
-  :class:`~repro.recovery.FileCheckpointStore`) under the *original*
-  identities before announcing READY; the supervisor then refreshes the
-  driver's address book (invalidating stale pooled connections),
-  fetches the reborn Core's tracker map (``hosted_trackers``), and
-  repairs every survivor's trackers and location records exactly as
-  simulated recovery does (``repair_trackers`` / ``locator_forget``).
-
-- **Escalate** — a child that exhausts its restart budget is declared
-  permanently failed; its last durable checkpoints are restored on a
-  surviving Core under *fresh* identities (the PR 4 degraded path:
-  stale references dangle with typed errors rather than split-brain).
-
-Observability: ``supervisor.restarts`` counter, ``supervisor.mttr``
-histogram (detection-to-readmission, real seconds), and
-``supervisor:restart`` spans on the driver Core; per-child state via
-``CoreAdmin.supervisor_state()`` and the shell's ``supervisor`` command.
+Observability: ``supervisor.restarts``/``supervisor.escalations``
+counters, the ``supervisor.mttr`` histogram (detection to re-admission,
+real seconds), ``supervisor:restart``/``supervisor:escalate`` spans on
+the driver Core, and ``CoreAdmin.supervisor_state()``.
 """
 
 from __future__ import annotations
@@ -52,37 +41,36 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.core.admin import CoreAdmin
 from repro.errors import ConfigurationError, CoreError, FarGoError, TransportError
 from repro.net.retry import RetryPolicy
-from repro.recovery.detector import DetectorConfig
+from repro.recovery.detector import ALIVE, FAILED, DetectorConfig
+from repro.recovery.recovery import repair_core
+from repro.recovery.store import FileCheckpointStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.launch import CoreProcesses
 
 logger = logging.getLogger(__name__)
 
-#: Default backoff schedule between consecutive respawns of one child.
+#: Backoff schedule between consecutive respawns of one child.
 DEFAULT_BACKOFF = RetryPolicy(max_attempts=5, base_delay=0.1, multiplier=2.0, max_delay=2.0)
+#: Seconds a restarted child must stay up before its backoff streak resets.
+HEALTHY_AFTER = 5.0
+#: Probe cadence and verdict ladder (wall-clock seconds).
+DETECTOR = DetectorConfig()
 
 
 @dataclass(frozen=True)
 class RestartPolicy:
-    """How stubbornly one child Core is kept alive.
+    """How stubbornly each child Core is kept alive.
 
     ``max_restarts`` bounds restarts within the sliding ``window``
     (seconds); exceeding it escalates the child to permanent failure.
-    ``backoff`` is the delay schedule between *consecutive* respawns —
-    ``backoff.backoff(n)`` before the n-th restart of an unhealthy
-    streak; the streak resets once a child stays up ``healthy_after``
-    seconds.  ``recover=False`` respawns children stateless (no durable
-    checkpoint restore) even when a checkpoint directory is shared.
     """
 
     max_restarts: int = 3
     window: float = 60.0
-    backoff: RetryPolicy = field(default=DEFAULT_BACKOFF)
-    healthy_after: float = 5.0
-    recover: bool = True
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
@@ -97,7 +85,8 @@ class RestartPolicy:
 class _ChildState:
     """Mutable supervision record for one child Core."""
 
-    status: str = "running"  # running | restarting | partitioned | failed
+    #: running | restarting | readmitting | partitioned | failed
+    status: str = "running"
     restarts: int = 0
     #: Monotonic instants of restarts inside the policy window.
     recent: list = field(default_factory=list)
@@ -110,6 +99,8 @@ class _ChildState:
     last_restart_at: float | None = None
     last_mttr: float | None = None
     next_backoff: float = 0.0
+    #: When the death now being healed was detected (MTTR start).
+    detected_at: float = 0.0
     #: Fresh-identity ids created by escalation, if any.
     escalated_to: list = field(default_factory=list)
 
@@ -148,10 +139,9 @@ class Supervisor:
             ...                       # SIGKILL a child; it comes back
             supervisor.stop()
 
-    One policy applies to every child unless ``policies`` overrides a
-    specific name.  The supervisor attaches itself to the driver Core,
-    so ``admin(driver).supervisor_state()`` works from anywhere in the
-    deployment.
+    One policy applies to every child.  The supervisor attaches itself
+    to the driver Core, so ``admin(driver).supervisor_state()`` works
+    from anywhere in the deployment.
     """
 
     def __init__(
@@ -159,8 +149,6 @@ class Supervisor:
         procs: "CoreProcesses",
         *,
         policy: RestartPolicy | None = None,
-        policies: dict[str, RestartPolicy] | None = None,
-        detector: DetectorConfig | None = None,
         poll_interval: float = 0.05,
     ) -> None:
         if procs.driver is None or procs.transport is None:
@@ -168,8 +156,6 @@ class Supervisor:
         self.procs = procs
         self.driver = procs.driver
         self.policy = policy if policy is not None else RestartPolicy()
-        self.policies = dict(policies or {})
-        self.detector = detector if detector is not None else DetectorConfig()
         self.poll_interval = poll_interval
         self.children: dict[str, _ChildState] = {
             name: _ChildState(last_ok=time.monotonic()) for name in procs.names
@@ -180,9 +166,6 @@ class Supervisor:
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self.driver.supervisor = self
-
-    def policy_for(self, name: str) -> RestartPolicy:
-        return self.policies.get(name, self.policy)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -219,8 +202,6 @@ class Supervisor:
                 "policy": {
                     "max_restarts": self.policy.max_restarts,
                     "window": self.policy.window,
-                    "healthy_after": self.policy.healthy_after,
-                    "recover": self.policy.recover,
                 },
             }
 
@@ -247,56 +228,54 @@ class Supervisor:
         process = self.procs.processes.get(name)
         returncode = process.poll() if process is not None else None
         now = time.monotonic()
-        if returncode is None and process is not None:
-            # The OS says alive; fuse with the network's opinion.  An
-            # unreachable-but-running child is a partition or a hang —
-            # restarting it would fork the deployment, so only the
-            # verdict is recorded (mirrors FailureDetector's
-            # alive/suspect/failed ladder, driven by probes).
-            if now - child.last_probe < self.detector.interval:
-                return  # heartbeat cadence, not poll cadence
-            child.last_probe = now
-            silent = now - child.last_ok
-            if self.procs.transport.probe(name, timeout=min(1.0, self.detector.interval)):
-                child.last_ok = now
-                if child.status in ("partitioned", "restarting"):
-                    child.status = "running"
-                child.last_verdict = "alive"
-                if (
-                    child.streak
-                    and child.last_restart_at is not None
-                    and now - child.last_restart_at >= self.policy_for(name).healthy_after
-                ):
-                    child.streak = 0  # stayed up: the unhealthy streak is over
-            elif silent >= self.detector.fail_after:
-                child.last_verdict = "partitioned"
-                child.status = "partitioned"
-            elif silent >= self.detector.suspect_after:
-                child.last_verdict = "suspect"
+        if process is None or returncode is not None:
+            # The process is gone: waitpid gives the ground truth the
+            # network-level ladder cannot — exit code or fatal signal.
+            cause = describe_exit(returncode) if returncode is not None else "never started"
+            child.last_exit = cause
+            child.last_verdict = "dead"
+            self._restart(name, child, cause, detected_at=now)
             return
-        # The process is gone: waitpid gives the ground truth the
-        # network-level detector cannot — exit code or fatal signal.
-        cause = describe_exit(returncode) if returncode is not None else "never started"
-        child.last_exit = cause
-        child.last_verdict = "dead"
-        self._restart(name, child, cause, detected_at=now)
+        if child.status == "readmitting":
+            self._readmit(name, child)
+            return
+        if now - child.last_probe < DETECTOR.interval:
+            return  # heartbeat cadence, not poll cadence
+        child.last_probe = now
+        if self.procs.transport.probe(name, timeout=min(1.0, DETECTOR.interval)):
+            child.last_ok = now
+            if child.status == "partitioned":
+                child.status = "running"
+            child.last_verdict = ALIVE
+            if (
+                child.streak
+                and child.last_restart_at is not None
+                and now - child.last_restart_at >= HEALTHY_AFTER
+            ):
+                child.streak = 0  # stayed up: the unhealthy streak is over
+            return
+        verdict = DETECTOR.verdict(now - child.last_ok)
+        if verdict == FAILED:
+            # Alive per waitpid, yet silent: a partition or a hang.
+            child.status = verdict = "partitioned"
+        if verdict != ALIVE:
+            child.last_verdict = verdict
 
     # -- restart path ------------------------------------------------------
 
     def _restart(self, name: str, child: _ChildState, cause: str, detected_at: float) -> None:
-        policy = self.policy_for(name)
-        child.recent = [t for t in child.recent if detected_at - t <= policy.window]
-        if len(child.recent) >= policy.max_restarts:
+        child.recent = [t for t in child.recent if detected_at - t <= self.policy.window]
+        if len(child.recent) >= self.policy.max_restarts:
             self._escalate(name, child, cause)
             return
         child.status = "restarting"
         child.streak += 1
-        delay = policy.backoff.backoff(child.streak) if child.streak > 1 else 0.0
-        child.next_backoff = policy.backoff.backoff(child.streak + 1)
+        delay = DEFAULT_BACKOFF.backoff(child.streak) if child.streak > 1 else 0.0
+        child.next_backoff = DEFAULT_BACKOFF.backoff(child.streak + 1)
         self._log(f"child {name} died ({cause}); restart #{child.streak} in {delay:.2f}s")
         if delay > 0.0 and self._stop.wait(delay):
             return
-        recover = policy.recover and self.procs.checkpoint_dir is not None
+        recover = self.procs.checkpoint_dir is not None
         with self.driver.tracer.span(
             "supervisor:restart", category="supervision",
             child=name, cause=cause, attempt=child.streak, recover=recover,
@@ -308,43 +287,24 @@ class Supervisor:
                 # The next monitor pass sees the corpse and retries
                 # (counting against the same window/backoff streak).
                 return
-            self._readmit(name)
-        mttr = time.monotonic() - detected_at
-        child.restarts += 1
-        child.recent.append(detected_at)
-        child.last_restart_at = time.monotonic()
-        child.last_mttr = mttr
-        child.status = "running"
-        child.last_ok = time.monotonic()
-        child.last_verdict = "alive"
-        self.driver.metrics.counter("supervisor.restarts").inc()
-        self.driver.metrics.histogram("supervisor.mttr").observe(mttr)
-        self._log(f"child {name} restored in {mttr:.2f}s (restart #{child.restarts})")
+            child.status = "readmitting"
+            child.detected_at = detected_at
+            self._readmit(name, child)
 
     def _respawn(self, name: str, *, recover: bool) -> None:
-        """Spawn the successor on the preallocated port, or a fresh one."""
+        """Spawn the successor; returns at its READY, i.e. after its restore.
+
+        A preallocated port that will not come back is traded for a fresh
+        one, which re-admission announces.
+        """
         self.procs.spawn_child(name, recover=recover)
         try:
             self.procs.await_child(name)
-            return
-        except CoreError:
-            process = self.procs.processes.get(name)
-            if process is not None and process.poll() is None:
-                process.kill()
-                process.wait(timeout=5.0)
-        # The preallocated port would not come back (e.g. still held by
-        # a lingering socket) — fall back to a fresh port and tell the
-        # whole deployment about the new address.
-        from repro.cluster.launch import free_port
+        except CoreError as exc:
+            self._log(f"child {name} did not come back on its port ({exc})")
+            self.procs.respawn_on_fresh_port(name, recover=recover)
 
-        old = self.procs.addresses[name]
-        fresh = (old[0], free_port(old[0]))
-        self.procs.addresses[name] = fresh
-        self._log(f"child {name} could not rebind {old[1]}; moving to port {fresh[1]}")
-        self.procs.spawn_child(name, recover=recover)
-        self.procs.await_child(name)
-
-    def _readmit(self, name: str) -> None:
+    def _readmit(self, name: str, child: _ChildState) -> None:
         """Reconnect and repair the deployment around the reborn Core."""
         address = self.procs.addresses[name]
         # Refresh the driver's address book: even on the same port, the
@@ -353,21 +313,37 @@ class Supervisor:
         # The reborn Core restored its complets under fresh tracker
         # serials; survivors' trackers still carry the predecessor's.
         try:
-            relocated = self.driver.admin(name, "hosted_trackers")
-        except (CoreError, TransportError):
-            relocated = {}
-        for survivor in self._survivors(name):
+            relocated = CoreAdmin(self.driver, name).hosted_trackers()
+        except (CoreError, TransportError) as exc:
+            self._log(f"re-admission of {name} deferred to the next pass: {exc}")
+            return
+        self._repair(name, relocated, address=address)
+        now = time.monotonic()
+        mttr = now - child.detected_at
+        child.restarts += 1
+        child.recent.append(child.detected_at)
+        child.last_restart_at = child.last_ok = now
+        child.last_mttr = mttr
+        child.status = "running"
+        child.last_verdict = ALIVE
+        self.driver.metrics.counter("supervisor.restarts").inc()
+        self.driver.metrics.histogram("supervisor.mttr").observe(mttr)
+        self._log(f"child {name} restored in {mttr:.2f}s (restart #{child.restarts})")
+
+    def _repair(self, failed: str, relocated: dict, *, address: tuple | None = None) -> None:
+        """``repair_core`` on every surviving child and on the driver."""
+        unrepaired: list[str] = []
+        for survivor in self._survivors(failed):
+            admin = CoreAdmin(self.driver, survivor)
             try:
-                self.driver.admin(survivor, "add_peer", peer=name, address=address)
-                self.driver.admin(survivor, "locator_forget", core=name)
-                self.driver.admin(
-                    survivor, "repair_trackers", failed=name, relocated=relocated
-                )
+                if address is not None:
+                    admin.add_peer(failed, address)
+                unrepaired += admin.repair_core(failed, relocated)
             except (CoreError, TransportError) as exc:
-                self._log(f"re-admission repair at {survivor} failed: {exc}")
-        # The driver itself is a survivor too.
-        self.driver.locator.forget_core(name)
-        self.driver.references.repair_dead_core(name, relocated)
+                self._log(f"repair at {survivor} around {failed} failed: {exc}")
+        unrepaired += repair_core(self.driver, failed, relocated)
+        if unrepaired:
+            self._log(f"trackers still forwarding to {failed}: {', '.join(unrepaired)}")
 
     def _survivors(self, failed: str) -> list[str]:
         alive = []
@@ -391,14 +367,15 @@ class Supervisor:
         supervising.
         """
         child.status = "failed"
-        policy = self.policy_for(name)
         self._log(
             f"child {name} exceeded restart budget "
-            f"({policy.max_restarts}/{policy.window:.0f}s, last cause {cause}); "
+            f"({self.policy.max_restarts}/{self.policy.window:.0f}s, last cause {cause}); "
             f"escalating to permanent failure"
         )
         self.driver.metrics.counter("supervisor.escalations").inc()
-        records = self._durable_records(name)
+        records = []
+        if self.procs.checkpoint_dir is not None:
+            records = FileCheckpointStore(self.procs.checkpoint_dir).hosted_at(name)
         survivors = self._survivors(name)
         destination = survivors[0] if survivors else self.driver.name
         with self.driver.tracer.span(
@@ -407,37 +384,18 @@ class Supervisor:
         ):
             for record in records:
                 try:
-                    new_id = self.driver.admin(
-                        destination, "restore_complet",
-                        data=record.data, keep_identity=False,
-                    )
-                    child.escalated_to.append(str(new_id))
-                except (CoreError, TransportError, FarGoError) as exc:
+                    new_id = CoreAdmin(self.driver, destination).restore(record.data)
+                    child.escalated_to.append(new_id)
+                except FarGoError as exc:
                     self._log(
                         f"fresh-identity restore of {record.complet_id} failed: {exc}"
                     )
-            for survivor in survivors:
-                try:
-                    self.driver.admin(survivor, "locator_forget", core=name)
-                    self.driver.admin(
-                        survivor, "repair_trackers", failed=name, relocated={}
-                    )
-                except (CoreError, TransportError):
-                    pass
-            self.driver.locator.forget_core(name)
-            self.driver.references.repair_dead_core(name, {})
+            self._repair(name, {})
         if child.escalated_to:
             self._log(
                 f"escalation restored {len(child.escalated_to)} complets "
                 f"on {destination} under fresh identities"
             )
-
-    def _durable_records(self, name: str) -> list:
-        if self.procs.checkpoint_dir is None:
-            return []
-        from repro.recovery.store import FileCheckpointStore
-
-        return FileCheckpointStore(self.procs.checkpoint_dir).hosted_at(name)
 
     # -- bookkeeping -------------------------------------------------------
 

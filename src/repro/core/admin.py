@@ -165,16 +165,10 @@ class CoreAdmin:
         """Update the target Core's address book for a (re)spawned peer."""
         self._op("add_peer", peer=peer, address=tuple(address))
 
-    def repair_trackers(self, failed: str, relocated: dict) -> int:
-        """Repair trackers at the target Core that forward to a dead Core."""
-        result = self._op("repair_trackers", failed=failed, relocated=relocated)
-        assert isinstance(result, int)
-        return result
-
-    def locator_forget(self, core: str) -> int:
-        """Drop the target Core's location records naming a dead Core."""
-        result = self._op("locator_forget", core=core)
-        assert isinstance(result, int)
+    def repair_core(self, failed: str, relocated: dict) -> list[str]:
+        """Run :func:`~repro.recovery.recovery.repair_core` at the target."""
+        result = self._op("repair_core", failed=failed, relocated=relocated)
+        assert isinstance(result, list)
         return result
 
     # -- observability ---------------------------------------------------------

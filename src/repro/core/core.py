@@ -340,6 +340,15 @@ class Core:
             "active_profiles": self.profiler.active_profiles(),
         }
 
+    def hosted_trackers(self) -> dict:
+        """CompletId -> local TrackerAddress for every complet hosted here."""
+        hosted = {}
+        for complet_id in self.repository.complet_ids():
+            tracker = self.repository.existing_tracker(complet_id)
+            if tracker is not None and tracker.is_local:
+                hosted[complet_id] = tracker.address
+        return hosted
+
     def store_view(self) -> dict:
         """This Core's object-store view: client counters + store entries."""
         if self.store_client is None:
@@ -434,9 +443,14 @@ class Core:
         if operation == "checkpoint":
             return self._admin_checkpoint(kwargs["complet"])
         if operation == "restore_complet":
-            return self._admin_restore(
-                kwargs["data"], kwargs.get("keep_identity", False)
+            from repro.recovery.checkpoint import restore_checkpoint
+
+            # keep_identity is strict here: a live copy is a typed error.
+            new_id, _address, _kept = restore_checkpoint(
+                self, kwargs["data"], keep_identity=kwargs.get("keep_identity", False),
+                fallback=False,
             )
+            return str(new_id)
         if operation == "detector":
             if self.detector is None:
                 return {}
@@ -446,15 +460,7 @@ class Core:
                 return {}
             return self.supervisor.state()  # type: ignore[attr-defined]
         if operation == "hosted_trackers":
-            # Original CompletId -> local TrackerAddress, for every
-            # complet hosted here.  The supervisor repairs survivors'
-            # trackers toward a reborn Core with exactly this map.
-            hosted = {}
-            for complet_id in self.repository.complet_ids():
-                tracker = self.repository.existing_tracker(complet_id)
-                if tracker is not None and tracker.is_local:
-                    hosted[complet_id] = tracker.address
-            return hosted
+            return self.hosted_trackers()
         if operation == "add_peer":
             # Address-book update: a peer respawned (possibly on a fresh
             # port); stale pooled connections to it are invalidated.
@@ -465,12 +471,10 @@ class Core:
                 )
             add_peer(kwargs["peer"], tuple(kwargs["address"]))
             return None
-        if operation == "repair_trackers":
-            return self.references.repair_dead_core(
-                kwargs["failed"], kwargs.get("relocated", {})
-            )
-        if operation == "locator_forget":
-            return self.locator.forget_core(kwargs["core"])
+        if operation == "repair_core":
+            from repro.recovery.recovery import repair_core
+
+            return repair_core(self, kwargs["failed"], kwargs["relocated"])
         if operation == "shutdown":
             # Remote shutdown (used by the multi-process launcher).  A
             # small delay lets this reply reach the requester before the
@@ -493,14 +497,6 @@ class Core:
                 f"Core {self.name!r} does not host complet {complet_id_str!r}"
             )
         return persistence.snapshot(self, anchor).to_bytes()
-
-    def _admin_restore(self, data: bytes, keep_identity: bool) -> str:
-        """Restore snapshot bytes here; returns the live complet's id."""
-        from repro.core import persistence
-
-        snap = persistence.Snapshot.from_bytes(data)
-        stub = persistence.restore(self, snap, keep_identity=keep_identity)
-        return str(stub_target_id(stub))
 
     def _outgoing_stubs(self, complet_id_str: str) -> list[Stub]:
         from repro.complet.closure import compute_closure

@@ -28,10 +28,11 @@ from typing import TYPE_CHECKING
 from repro.complet.anchor import Anchor
 from repro.complet.closure import compute_closure
 from repro.complet.relocators import Pull
-from repro.complet.stub import Stub, stub_meta, stub_target_id
+from repro.complet.stub import Stub, stub_meta, stub_target_id, stub_tracker
+from repro.complet.tracker import TrackerAddress
 from repro.core import persistence
 from repro.core.events import COMPLET_ARRIVED
-from repro.errors import FarGoError
+from repro.errors import CompletError, FarGoError
 from repro.recovery.store import CheckpointRecord, CheckpointStore
 from repro.sim.scheduler import Timer
 from repro.util.ids import CompletId
@@ -44,12 +45,7 @@ logger = logging.getLogger(__name__)
 
 
 def local_pull_group(host: "Core", anchor: Anchor) -> list[Anchor]:
-    """``anchor`` plus local complets pulled along when it moves.
-
-    Shared by the cluster-wide :class:`CheckpointManager` and the
-    standalone child-process checkpointer in
-    :mod:`repro.cluster.launch`.
-    """
+    """``anchor`` plus local complets pulled along when it moves."""
     members = [anchor]
     seen = {anchor.complet_id}
     queue = [anchor]
@@ -67,6 +63,74 @@ def local_pull_group(host: "Core", anchor: Anchor) -> list[Anchor]:
             members.append(member)
             queue.append(member)
     return members
+
+
+def checkpoint_group(
+    host: "Core", anchor: Anchor, store: CheckpointStore
+) -> tuple[list[CompletId], int]:
+    """Checkpoint ``anchor`` and its local pull-group into ``store``.
+
+    Used by :class:`CheckpointManager` and by child processes'
+    :func:`repro.cluster.launch.checkpoint_sweep`.  Returns the ids
+    written and the number of members whose snapshot failed.
+    """
+    members = local_pull_group(host, anchor)
+    group = tuple(member.complet_id for member in members)
+    now = host.scheduler.clock.now()
+    taken = host.metrics.counter("checkpoint.taken")
+    written: list[CompletId] = []
+    for member in members:
+        try:
+            snap = persistence.snapshot(host, member)
+        except FarGoError:
+            logger.warning(
+                "checkpoint of %s at %s failed", member.complet_id, host.name,
+                exc_info=True,
+            )
+            continue
+        store.put(
+            CheckpointRecord(
+                complet_id=member.complet_id,
+                data=snap.to_bytes(),
+                taken_at=now,
+                host=host.name,
+                group=group,
+            )
+        )
+        taken.inc()
+        written.append(member.complet_id)
+    return written, len(members) - len(written)
+
+
+def restore_checkpoint(
+    core: "Core", data: bytes, *, keep_identity: bool, fallback: bool = True
+) -> tuple[CompletId, TrackerAddress, bool]:
+    """Restore snapshot bytes at ``core`` and publish the location.
+
+    With ``keep_identity`` the original identity is reclaimed; when a
+    live copy contradicts it, ``fallback`` takes a fresh identity rather
+    than raising.  Returns the live id, its tracker address, and whether
+    the identity was kept.
+    """
+    snap = persistence.Snapshot.from_bytes(data)
+    if core.sanitizer is not None:
+        core.sanitizer.record(
+            "restore", str(snap.original_id), core=core, detail=core.name,
+            actor="recovery",
+        )
+    kept = keep_identity
+    try:
+        stub = persistence.restore(core, snap, keep_identity=keep_identity)
+    except CompletError:
+        if not (keep_identity and fallback):
+            raise
+        # The registry (or ``core`` itself) still knows a live copy.
+        kept = False
+        stub = persistence.restore(core, snap)
+    new_id = stub_target_id(stub)
+    address = stub_tracker(stub).address
+    core.locator.publish(new_id, address)
+    return new_id, address, kept
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,33 +224,12 @@ class CheckpointManager:
             return False
         anchor = host.repository.get(complet_id)
         assert anchor is not None
-        members = self._pull_group(host, anchor)
-        group = tuple(member.complet_id for member in members)
-        now = self.cluster.scheduler.clock.now()
-        taken = host.metrics.counter("checkpoint.taken")
         with host.tracer.span(
-            "checkpoint", category="recovery", complet=str(complet_id), members=len(members)
-        ):
-            for member in members:
-                try:
-                    snap = persistence.snapshot(host, member)
-                except FarGoError:
-                    logger.warning(
-                        "checkpoint of %s at %s failed", member.complet_id, host.name,
-                        exc_info=True,
-                    )
-                    self.skipped += 1
-                    continue
-                self.store.put(
-                    CheckpointRecord(
-                        complet_id=member.complet_id,
-                        data=snap.to_bytes(),
-                        taken_at=now,
-                        host=host.name,
-                        group=group,
-                    )
-                )
-                taken.inc()
+            "checkpoint", category="recovery", complet=str(complet_id)
+        ) as span:
+            written, failed = checkpoint_group(host, anchor, self.store)
+            span.set_attribute("members", len(written) + failed)
+        self.skipped += failed
         return True
 
     def checkpoint_all(self) -> int:
@@ -226,9 +269,6 @@ class CheckpointManager:
         if len(hosts) != 1:
             return None
         return hosts[0]
-
-    def _pull_group(self, host: "Core", anchor: Anchor) -> list[Anchor]:
-        return local_pull_group(host, anchor)
 
     # -- event hooks -------------------------------------------------------------
 

@@ -66,6 +66,14 @@ class DetectorConfig:
                 f"suspect_after ({self.suspect_after})"
             )
 
+    def verdict(self, silent: float) -> str:
+        """The verdict ladder, shared with the process supervisor."""
+        if silent >= self.fail_after:
+            return FAILED
+        if silent >= self.suspect_after:
+            return SUSPECT
+        return ALIVE
+
 
 @dataclass(slots=True)
 class _PeerState:
@@ -144,11 +152,12 @@ class FailureDetector:
 
     def _mark_silent(self, peer: str, state: _PeerState, now: float) -> None:
         silent = now - state.last_ok
-        if state.status == ALIVE and silent >= self.config.suspect_after:
+        verdict = self.config.verdict(silent)
+        if state.status == ALIVE and verdict != ALIVE:
             state.status = SUSPECT
             self._event("detector.suspicions", peer)
             self.core.events.publish(CORE_SUSPECTED, core=peer, silent_for=silent)
-        if state.status == SUSPECT and silent >= self.config.fail_after:
+        if state.status == SUSPECT and verdict == FAILED:
             state.status = FAILED
             self._event("detector.failures", peer)
             self._latency.observe(silent)

@@ -40,8 +40,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.complet.stub import stub_target_id, stub_tracker
-from repro.core import persistence
 from repro.core.events import (
     COMPLET_RECOVERED,
     CORE_FAILED,
@@ -49,7 +47,7 @@ from repro.core.events import (
     CORE_RECOVERED,
 )
 from repro.errors import CompletError, CoreNotFoundError, FarGoError
-from repro.recovery.checkpoint import CheckpointManager
+from repro.recovery.checkpoint import CheckpointManager, restore_checkpoint
 from repro.recovery.store import CheckpointRecord
 from repro.util.ids import CompletId
 
@@ -85,6 +83,25 @@ class RecoveryReport:
     @property
     def recovered_count(self) -> int:
         return len(self.restored) + len(self.degraded)
+
+
+def repair_core(core: "Core", failed: str, relocated: dict) -> list[str]:
+    """Repair ``core``'s view of the dead (or reborn) Core ``failed``.
+
+    Forgets location records naming ``failed``, re-points trackers
+    forwarding there at their complet's ``relocated`` address, and
+    dangles the rest.  Returns the post-condition's violations: trackers
+    still forwarding to ``failed`` elsewhere (``"core:complet_id"``).
+    """
+    core.locator.forget_core(failed)
+    core.references.repair_dead_core(failed, relocated)
+    return [
+        f"{core.name}:{tracker.target_id}"
+        for tracker in core.repository.trackers()
+        if tracker.next_hop is not None
+        and tracker.next_hop.core == failed
+        and tracker.next_hop != relocated.get(tracker.target_id)
+    ]
 
 
 class RecoveryManager:
@@ -210,25 +227,15 @@ class RecoveryManager:
         with dest.tracer.span(
             "recovery:core", category="recovery", failed=failed, records=len(records)
         ):
+            # Registry records naming the grave would refuse the
+            # identity-keeping restores below; repair_core forgets them
+            # again (idempotently) once the restores are published.
             for survivor in survivors:
                 survivor.locator.forget_core(failed)
             for record in records:
                 self._recover_record(record, dest, survivors, identity_safe, report)
             for survivor in survivors:
-                survivor.references.repair_dead_core(failed, report.relocated)
-            # Post-condition: no survivor tracker for a relocated complet
-            # may still forward into the grave.  (Checked synchronously —
-            # references minted later from stale tokens are out of scope;
-            # they resolve through the registry or fail typed.)
-            for survivor in survivors:
-                for old_id in report.relocated:
-                    tracker = survivor.repository.existing_tracker(old_id)
-                    if (
-                        tracker is not None
-                        and tracker.next_hop is not None
-                        and tracker.next_hop.core == failed
-                    ):
-                        report.unrepaired.append(f"{survivor.name}:{old_id}")
+                report.unrepaired += repair_core(survivor, failed, report.relocated)
 
         report.duration = self.cluster.scheduler.clock.now() - started
         dest.metrics.histogram("recovery.duration").observe(report.duration)
@@ -257,37 +264,22 @@ class RecoveryManager:
             report.skipped.append(str(original))
             return
         recovered = dest.metrics.counter("recovery.complets_recovered")
-        if dest.sanitizer is not None:
-            dest.sanitizer.record(
-                "restore", str(original), core=dest, detail=dest.name,
-                actor="recovery",
-            )
         try:
-            snap = persistence.Snapshot.from_bytes(record.data)
-            degraded = not identity_safe
-            if identity_safe:
-                try:
-                    stub = persistence.restore(dest, snap, keep_identity=True)
-                except CompletError:
-                    # The registry (or dest itself) still knows a live copy.
-                    degraded = True
-                    stub = persistence.restore(dest, snap)
-            else:
-                stub = persistence.restore(dest, snap)
+            new_id, address, kept = restore_checkpoint(
+                dest, record.data, keep_identity=identity_safe
+            )
         except FarGoError:
             logger.warning(
                 "recovery of %s at %s failed", original, dest.name, exc_info=True
             )
             report.skipped.append(str(original))
             return
-        new_id = stub_target_id(stub)
-        address = stub_tracker(stub).address
+        degraded = not kept
         if not degraded:
             report.restored.append(str(new_id))
             report.relocated[original] = address
         else:
             report.degraded.append(str(new_id))
-        dest.locator.publish(new_id, address)
         recovered.inc()
         dest.events.publish(
             COMPLET_RECOVERED,
@@ -346,13 +338,9 @@ class RecoveryManager:
         # Inverse repair: complets this Core still hosts were declared
         # dead by a degraded recovery — un-dangle the cluster's trackers
         # and restore the registry entries survivors forgot.
-        hosted: dict = {}
-        for complet_id in core.repository.complet_ids():
-            tracker = core.repository.existing_tracker(complet_id)
-            if tracker is None or not tracker.is_local:
-                continue
-            hosted[complet_id] = tracker.address
-            core.locator.publish(complet_id, tracker.address)
+        hosted = core.hosted_trackers()
+        for complet_id, address in hosted.items():
+            core.locator.publish(complet_id, address)
         repaired = 0
         if hosted:
             for other in self.cluster.running_cores():
@@ -411,21 +399,10 @@ class RecoveryManager:
             if not candidates:
                 raise CoreNotFoundError("no running Core to restore on")
             dest = min(candidates, key=lambda core: (len(core.repository), core.name))
-        if dest.sanitizer is not None:
-            dest.sanitizer.record(
-                "restore", complet_id_str, core=dest, detail=dest.name,
-                actor="recovery",
-            )
-        snap = persistence.Snapshot.from_bytes(record.data)
-        if any(core.repository.hosts(record.complet_id) for core in candidates):
-            stub = persistence.restore(dest, snap)
-        else:
-            try:
-                stub = persistence.restore(dest, snap, keep_identity=True)
-            except CompletError:
-                stub = persistence.restore(dest, snap)
-        new_id = stub_target_id(stub)
-        dest.locator.publish(new_id, stub_tracker(stub).address)
+        alive = any(core.repository.hosts(record.complet_id) for core in candidates)
+        new_id, _address, _kept = restore_checkpoint(
+            dest, record.data, keep_identity=not alive
+        )
         self.log.append(
             (
                 self.cluster.scheduler.clock.now(),

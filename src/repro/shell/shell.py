@@ -399,8 +399,7 @@ class FarGoShell:
         lines = [
             f"supervisor at {seat}: "
             f"{'running' if state.get('running') else 'stopped'}, "
-            f"budget {policy.get('max_restarts')}/{policy.get('window', 0):.0f}s, "
-            f"healthy after {policy.get('healthy_after', 0):.0f}s"
+            f"budget {policy.get('max_restarts')}/{policy.get('window', 0):.0f}s"
         ]
         for child, view in sorted(state.get("children", {}).items()):
             mttr = view.get("last_mttr")

@@ -47,6 +47,27 @@ def wait_for_checkpoint(checkpoint_dir: str, core_name: str) -> None:
     )
 
 
+def wait_for_checkpoint_after(checkpoint_dir: str, complet) -> None:
+    """Block until a sweep that *started* after now has persisted ``complet``.
+
+    A sweep may already be in flight (it snapshotted the state before
+    the caller's last call), so one new generation is not enough: wait
+    for two past the newest one visible right now.
+    """
+    store = FileCheckpointStore(checkpoint_dir)
+    complet_id = complet._fargo_target_id
+
+    def latest() -> int:
+        generations = store.generations(complet_id)
+        return generations[-1]["gen"] if generations else 0
+
+    target = latest() + 2
+    assert wait_until(lambda: latest() >= target), (
+        f"no durable checkpoint of {complet_id} newer than generation "
+        f"{target - 2} appeared in {checkpoint_dir}"
+    )
+
+
 def child_state(supervisor: Supervisor, name: str) -> dict:
     return supervisor.state()["children"][name]
 
@@ -77,7 +98,7 @@ class TestIdentityPreservingRestart:
             probe = Probe(_core=procs.driver, _at="alpha")
             probe.note("pre-kill")
             original_id = str(probe._fargo_target_id)
-            wait_for_checkpoint(checkpoint_dir, "alpha")
+            wait_for_checkpoint_after(checkpoint_dir, probe)
 
             old_pid = procs.processes["alpha"].pid
             os.kill(old_pid, signal.SIGKILL)
@@ -123,7 +144,7 @@ class TestEscalation:
         procs, checkpoint_dir = deployment
         # Zero budget: the very first death is a permanent failure.
         policy = RestartPolicy(max_restarts=0)
-        with Supervisor(procs, policies={"alpha": policy}) as supervisor:
+        with Supervisor(procs, policy=policy) as supervisor:
             probe = Probe(_core=procs.driver, _at="alpha")
             probe.note("will-be-escalated")
             original_id = str(probe._fargo_target_id)
@@ -187,7 +208,7 @@ class TestTransportReconnect:
             holder = Holder(_core=procs.driver, _at="beta")
             holder.set_ref(probe)
             holder.get_ref().note("before-kill")
-            wait_for_checkpoint(checkpoint_dir, "alpha")
+            wait_for_checkpoint_after(checkpoint_dir, probe)
 
             procs.processes["alpha"].kill()
             assert wait_until(

@@ -320,8 +320,6 @@ class TestSupervisorCommand:
                     "policy": {
                         "max_restarts": 3,
                         "window": 60.0,
-                        "healthy_after": 5.0,
-                        "recover": True,
                     },
                 }
 
