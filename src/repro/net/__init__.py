@@ -12,7 +12,7 @@ sockets.  Here the substrate is pluggable behind one abstract protocol:
   of named nodes connected by links with configurable bandwidth and
   latency (mutable at runtime), partitions, and full transfer
   accounting.  Deterministic; the default backend for tests.
-- :mod:`repro.net.tcp` — :class:`TcpTransport`, real asyncio TCP
+- :mod:`repro.net.tcp` — :class:`TcpTransport`, real blocking TCP
   sockets with the length-prefixed framing of :mod:`repro.net.framing`,
   so Cores run as separate OS processes (see :mod:`repro.cluster.launch`).
 - :mod:`repro.net.serializer` — pickle-based serialization with

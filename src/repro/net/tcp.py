@@ -1,4 +1,4 @@
-"""Real asyncio/TCP transport: Cores as separate OS processes.
+"""Real TCP transport: Cores as separate OS processes.
 
 One :class:`TcpTransport` is a *hub* for the Cores of one process —
 usually exactly one.  Each registered node gets its own listener socket;
@@ -8,19 +8,25 @@ the RPC payload bytes (struct-framed INVOKE, 1-byte status-prefix
 replies) passed through untouched, so application-level encoding is
 byte-identical with the simulated backend.
 
-Threading model: a private asyncio event loop runs on a daemon thread
-and only moves bytes; incoming frames are handed to a dispatcher thread
-pool, where node handlers (and any nested synchronous calls they make
-back across the network) execute.  The synchronous
-:meth:`TcpTransport.send` blocks its calling thread on the reply, which
-is exactly the RMI-style semantics the RPC layer expects.
+Threading model: blocking sockets, no event loop and no I/O thread.
+:meth:`TcpTransport.send` writes its frame under the connection's write
+lock, then reads the socket itself until its reply arrives — the
+RMI-style blocking call the RPC layer expects.  Concurrent senders on a
+connection take turns in the read role (leader/follower): the reader
+files other waiters' replies and wakes them, and hands the role on when
+it leaves, so a lone sender wakes no other thread.  Each accepted
+connection has one reader at a time from a bounded pool of daemon
+dispatch threads (an idle connection holds one): a thread that reads a
+request hands the read role to another pool thread, then runs the node
+handler inline (nested synchronous calls included) and writes the reply.
 
 Failure semantics mirror the simulated network's types: a refused or
 lost connection raises :class:`~repro.errors.CoreUnreachableError`, a
 node administratively marked down answers (or refuses) with
-:class:`~repro.errors.CoreDownError`, and an expired round-trip budget
-raises :class:`~repro.errors.DeadlineExceededError`.  Outgoing
-connections reconnect per peer under a
+:class:`~repro.errors.CoreDownError`, an expired round-trip budget
+raises :class:`~repro.errors.DeadlineExceededError`, and a send in
+flight when its hub closes raises :class:`~repro.errors.TransportError`.
+Outgoing connections reconnect per peer under a
 :class:`~repro.net.retry.RetryPolicy`.  Chaos hooks support node
 crash/revive, link cuts, injected latency, and partitions; bandwidth
 shaping is simnet-only and raises
@@ -29,12 +35,17 @@ shaping is simnet-only and raises
 
 from __future__ import annotations
 
-import asyncio
+import errno
 import itertools
 import logging
+import math
+import queue
+import select
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import (
@@ -70,78 +81,166 @@ logger = logging.getLogger(__name__)
 Address = tuple[str, int]
 
 #: Reconnect schedule applied per peer when a connection cannot be
-#: established; real-time sleeps on the event loop.
+#: established; real-time sleeps in the sending thread.
 DEFAULT_RECONNECT = RetryPolicy(max_attempts=4, base_delay=0.05, multiplier=2.0, max_delay=0.5)
 
 _READ_CHUNK = 1 << 16
 
 
-class _Connection:
-    """One established outgoing connection, multiplexing requests.
+@dataclass(slots=True)
+class _Slot:
+    """Where one waiting sender's reply lands."""
 
-    Lives entirely on the event loop thread: replies are matched to
-    pending futures by request id, so many blocked senders share one
-    socket per peer.
+    frame: framing.Frame | None = None
+    wake: threading.Event = field(default_factory=threading.Event)
+
+
+class _Connection:
+    """One TCP connection.  Outgoing, it multiplexes many blocked senders,
+    matching replies by request id; accepted, it only reads requests (one
+    read may decode several: ``backlog``) and writes replies.
     """
 
-    def __init__(
-        self,
-        peer: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
+    def __init__(self, peer: str, sock: socket.socket) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.peer = peer
-        self.reader = reader
-        self.writer = writer
-        self.loop = loop
-        self.closed = False
-        self.pending: dict[int, asyncio.Future] = {}
-        self.reader_task = loop.create_task(self._read_loop())
+        self.sock = sock
+        #: Set once, by :meth:`close`; every later request raises it.
+        self.error: CoreError | TransportError | None = None
+        self.backlog: deque[framing.Frame] = deque()
+        self._decoder = framing.FrameDecoder()
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
+        self._write_lock = threading.Lock()
+        self._lock = threading.Lock()  # guards error, _slots, _reading
+        self._slots: dict[int, _Slot] = {}
+        self._reading = False
 
-    async def request(self, request_id: int, data: bytes) -> framing.Frame:
-        future: asyncio.Future = self.loop.create_future()
-        self.pending[request_id] = future
+    def write(self, data: bytes) -> None:
+        """``sendall`` under the write lock; a failed write closes the connection."""
         try:
-            self.writer.write(data)
-            await self.writer.drain()
-            return await future
-        finally:
-            self.pending.pop(request_id, None)
+            with self._write_lock:
+                self.sock.sendall(data)
+        except OSError as exc:
+            error = CoreUnreachableError(f"connection to node {self.peer!r} failed: {exc!r}")
+            self.close(error)
+            raise error from exc
 
-    async def post(self, data: bytes) -> None:
-        self.writer.write(data)
-        await self.writer.drain()
+    def read_frames(self, timeout: float | None = None) -> list[framing.Frame]:
+        """Frames completed by one read (``[]`` if ``timeout`` ran out first)."""
+        if timeout is not None and not self._poller.poll(math.ceil(timeout * 1000)):
+            return []
+        chunk = self.sock.recv(_READ_CHUNK)
+        if not chunk:
+            raise ConnectionResetError(f"connection to {self.peer!r} closed by the peer")
+        return self._decoder.feed(chunk)
 
-    async def _read_loop(self) -> None:
-        decoder = framing.FrameDecoder()
-        error: BaseException = ConnectionResetError(f"connection to {self.peer!r} lost")
+    def alive(self) -> bool:
+        """False once closed, or when an unread socket shows the peer hung up."""
         try:
+            return self.error is None and (
+                self._reading or self.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) != b""
+            )
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+
+    def request(self, request_id: int, data: bytes, deadline: float) -> framing.Frame | None:
+        """Send one request and wait for its reply; None once ``deadline`` passes."""
+        slot = _Slot()
+        with self._lock:
+            self._slots[request_id] = slot  # before the reply can arrive
+        try:
+            self.write(data)  # raises if the connection is closed
             while True:
-                chunk = await self.reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                for frame in decoder.feed(chunk):
-                    future = self.pending.get(frame.request_id)
-                    if future is not None and not future.done():
-                        future.set_result(frame)
-        except Exception as exc:  # noqa: BLE001 - socket teardown races
-            error = exc
+                remaining = deadline - time.monotonic()
+                with self._lock:
+                    if slot.frame is not None:
+                        return slot.frame
+                    if self.error is not None:
+                        raise self.error
+                    if remaining <= 0.0:
+                        return None
+                    lead, self._reading = not self._reading, True
+                    slot.wake.clear()
+                if not lead:
+                    slot.wake.wait(remaining)
+                    continue
+                frames: list[framing.Frame] = []
+                try:
+                    frames = self.read_frames(remaining)
+                except (OSError, framing.FramingError) as exc:
+                    self.close(CoreUnreachableError(
+                        f"connection to node {self.peer!r} failed mid-request: {exc!r}"
+                    ))
+                finally:
+                    with self._lock:
+                        self._reading = False
+                        for frame in frames:
+                            # A reply whose sender gave up has no slot: dropped.
+                            if (target := self._slots.get(frame.request_id)) is not None:
+                                target.frame = frame
+                                target.wake.set()
         finally:
-            self.closed = True
-            for future in list(self.pending.values()):
-                if not future.done():
-                    future.set_exception(error)
-            self.writer.close()
+            with self._lock:
+                del self._slots[request_id]
+                if not self._reading:  # hand the read role to one waiter
+                    waiting = (other for other in self._slots.values() if other.frame is None)
+                    next(waiting, slot).wake.set()
 
-    def close(self) -> None:
-        self.closed = True
-        self.reader_task.cancel()
-        self.writer.close()
+    def close(self, error: CoreError | TransportError | None = None) -> None:
+        """Fail every waiting and later request with ``error``; close the socket."""
+        with self._lock:
+            if self.error is not None:
+                return
+            self.error = error or TransportError("connection closed")
+            for slot in self._slots.values():
+                slot.wake.set()
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked reader; close does not
+        except OSError:
+            pass
+        self.sock.close()
+
+
+class _Workers:
+    """Up to ``limit`` daemon threads running queued calls (a ThreadPoolExecutor's
+    threads are joined at exit; one of these may be blocked reading an idle socket)."""
+
+    def __init__(self, limit: int) -> None:
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._idle = threading.Semaphore(0)
+        self._limit = self._spare = limit
+        self._lock = threading.Lock()  # guards _spare
+
+    def submit(self, fn, *args) -> None:
+        self._tasks.put((fn, args))
+        if self._idle.acquire(blocking=False):
+            return
+        with self._lock:
+            if not self._spare:
+                return
+            self._spare -= 1
+        threading.Thread(target=self._work, name="fargo-tcp-dispatch", daemon=True).start()
+
+    def shutdown(self) -> None:
+        """Let every thread finish its current call and exit."""
+        for _ in range(self._limit):
+            self._tasks.put(None)
+
+    def _work(self) -> None:
+        while (task := self._tasks.get()) is not None:
+            fn, args = task
+            try:
+                fn(*args)
+            except Exception:  # noqa: BLE001 - keep the worker alive
+                logger.exception("TcpTransport dispatch task failed")
+            self._idle.release()
 
 
 class TcpTransport(Transport):
-    """Asyncio TCP hub implementing the :class:`Transport` protocol."""
+    """TCP hub on blocking sockets implementing the :class:`Transport` protocol."""
 
     CAPABILITIES = frozenset({CAP_NODE_DOWN, CAP_LINK_STATE, CAP_LATENCY, CAP_PARTITION})
 
@@ -162,8 +261,8 @@ class TcpTransport(Transport):
             from repro.sim.scheduler import Scheduler
 
             scheduler = Scheduler(RealClock())
-        if request_timeout <= 0.0 or connect_timeout <= 0.0:
-            raise ConfigurationError("timeouts must be positive")
+        if request_timeout <= 0.0 or connect_timeout <= 0.0 or max_dispatch_threads < 1:
+            raise ConfigurationError("timeouts and max_dispatch_threads must be positive")
         self.scheduler = scheduler
         self.stats = NetworkStats()
         self.trace = TraceLog(trace_capacity)
@@ -173,7 +272,7 @@ class TcpTransport(Transport):
         self._request_timeout = request_timeout
         self._connect_timeout = connect_timeout
         self._handlers: dict[str, NodeHandler] = {}
-        self._servers: dict[str, asyncio.AbstractServer] = {}
+        self._listeners: dict[str, tuple[socket.socket, threading.Thread]] = {}
         self._peers: dict[str, Address] = {}
         self._down: set[str] = set()
         self._blocked: set[tuple[str, str]] = set()
@@ -183,25 +282,11 @@ class TcpTransport(Transport):
         self._stats_lock = threading.Lock()
         self._request_ids = itertools.count(1)
         self._msg_ids = itertools.count(1)
+        self._lock = threading.Lock()  # guards _connections, _accepted, _closed
         self._connections: dict[str, _Connection] = {}
+        self._accepted: set[_Connection] = set()
         self._closed = False
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_dispatch_threads, thread_name_prefix="fargo-tcp-dispatch"
-        )
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="fargo-tcp-loop", daemon=True
-        )
-        self._loop_thread.start()
-
-    # -- event loop plumbing -------------------------------------------------
-
-    def _run(self, coro, timeout: float | None):
-        """Run ``coro`` on the loop thread; block for its result."""
-        if self._closed:
-            raise TransportError("transport is closed")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout)
+        self._workers = _Workers(max_dispatch_threads)
 
     # -- attachment ----------------------------------------------------------
 
@@ -211,26 +296,29 @@ class TcpTransport(Transport):
         The port comes from the ``ports`` map given at construction
         (fixed ports for multi-process deployments) or is ephemeral.
         """
+        if self._closed:
+            raise TransportError("transport is closed")
         if name in self._handlers:
             raise DuplicateCoreError(f"node {name!r} is already registered")
-        port = self._ports.get(name, 0)
-        server = self._run(
-            self._start_server(port), timeout=self._connect_timeout
-        )
-        bound = server.sockets[0].getsockname()
-        self._servers[name] = server
+        listener = socket.create_server((self._host, self._ports.get(name, 0)))
+        thread = threading.Thread(target=self._accept_loop, args=(listener,),
+                                  name=f"fargo-tcp-accept-{name}", daemon=True)
+        self._listeners[name] = (listener, thread)
         self._handlers[name] = handler
-        self._peers[name] = (self._host, bound[1])
+        self._peers[name] = (self._host, listener.getsockname()[1])
         self._down.discard(name)
-
-    async def _start_server(self, port: int) -> asyncio.AbstractServer:
-        return await asyncio.start_server(self._serve_connection, self._host, port)
+        thread.start()
 
     def deregister(self, name: str) -> None:
         """Detach a local node: close its listener, refuse its traffic."""
-        server = self._servers.pop(name, None)
-        if server is not None:
-            self._loop.call_soon_threadsafe(server.close)
+        listener, thread = self._listeners.pop(name, (None, None))
+        if listener is not None and thread is not None:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes accept(); close does not
+            except OSError:
+                pass
+            listener.close()
+            thread.join(self._connect_timeout)
         self._handlers.pop(name, None)
         self._down.add(name)
 
@@ -238,11 +326,14 @@ class TcpTransport(Transport):
         """Record (or update) the address of a remote node."""
         self._peers[name] = (address[0], int(address[1]))
         # A re-announced peer may have restarted: drop any stale connection.
-        self._loop.call_soon_threadsafe(self._invalidate, name)
+        with self._lock:
+            connection = self._connections.pop(name, None)
+        if connection is not None:
+            connection.close(CoreUnreachableError(f"node {name!r} was re-announced"))
 
     def local_address(self, name: str) -> Address:
         """The (host, port) a registered local node is listening on."""
-        if name not in self._servers:
+        if name not in self._listeners:
             raise TransportError(f"node {name!r} is not served by this transport")
         return self._peers[name]
 
@@ -284,11 +375,6 @@ class TcpTransport(Transport):
                 )
         return None
 
-    def _check(self, src: str, dst: str) -> None:
-        error = self._refusal(src, dst)
-        if error is not None:
-            raise error
-
     # -- accounting ----------------------------------------------------------
 
     def link_stats(self, src: str, dst: str) -> LinkStats:
@@ -314,23 +400,18 @@ class TcpTransport(Transport):
 
     def send(self, envelope: Envelope, timeout: float | None = None) -> bytes:
         """Request/reply over the socket; blocks the calling thread."""
-        self._check(envelope.src, envelope.dst)
-        self._sleep_injected_latency(envelope.src, envelope.dst)
-        envelope.msg_id = next(self._msg_ids)
-        self.trace.append(envelope)
-        request_id = next(self._request_ids)
-        data = framing.encode_request(envelope, request_id)
-        limit = self._effective_timeout(timeout)
+        request_id, data = self._outgoing(envelope)
+        # The backstop bounds hangs when the caller sets no budget.
+        limit = self._request_timeout if timeout is None or timeout == float("inf") else timeout
         started = time.monotonic()
-        try:
-            frame = self._run(
-                self._request(envelope.dst, request_id, data, limit), timeout=None
-            )
-        except asyncio.TimeoutError:
+        deadline = started + limit
+        connection = self._acquire(envelope.dst, deadline)
+        frame = None if connection is None else connection.request(request_id, data, deadline)
+        if frame is None:
             raise DeadlineExceededError(
                 f"{envelope.kind.value!r} call from {envelope.src!r} to "
                 f"{envelope.dst!r} exceeded its {limit:.3f}s transport deadline"
-            ) from None
+            )
         elapsed = time.monotonic() - started
         self._charge(envelope.src, envelope.dst, envelope.kind, len(envelope.payload), elapsed)
         if frame.type == framing.ERROR:
@@ -340,29 +421,28 @@ class TcpTransport(Transport):
 
     def post(self, envelope: Envelope) -> None:
         """Fire-and-forget: blocks only until the frame is on the wire."""
-        self._check(envelope.src, envelope.dst)
-        self._sleep_injected_latency(envelope.src, envelope.dst)
+        _request_id, data = self._outgoing(envelope, oneway=True)
+        started = time.monotonic()
+        connection = self._acquire(envelope.dst, started + self._request_timeout)
+        if connection is None:
+            raise DeadlineExceededError(f"cannot connect to node {envelope.dst!r} to post")
+        connection.write(data)
+        elapsed = time.monotonic() - started
+        self._charge(envelope.src, envelope.dst, envelope.kind, len(envelope.payload), elapsed)
+
+    def _outgoing(self, envelope: Envelope, oneway: bool = False) -> tuple[int, bytes]:
+        """Refuse, delay (injected latency), trace and frame one envelope."""
+        if self._closed:
+            raise TransportError("transport is closed")
+        if (error := self._refusal(envelope.src, envelope.dst)) is not None:
+            raise error
+        delay = self._latency.get((envelope.src, envelope.dst), 0.0)
+        if delay > 0.0:
+            time.sleep(delay)
         envelope.msg_id = next(self._msg_ids)
         self.trace.append(envelope)
         request_id = next(self._request_ids)
-        data = framing.encode_request(envelope, request_id, oneway=True)
-        started = time.monotonic()
-        self._run(self._post(envelope.dst, data), timeout=None)
-        self._charge(
-            envelope.src, envelope.dst, envelope.kind,
-            len(envelope.payload), time.monotonic() - started,
-        )
-
-    def _effective_timeout(self, timeout: float | None) -> float:
-        """The per-request wall-clock budget; the backstop bounds hangs."""
-        if timeout is None or timeout == float("inf"):
-            return self._request_timeout
-        return timeout
-
-    def _sleep_injected_latency(self, src: str, dst: str) -> None:
-        delay = self._latency.get((src, dst), 0.0)
-        if delay > 0.0:
-            time.sleep(delay)
+        return request_id, framing.encode_request(envelope, request_id, oneway=oneway)
 
     @staticmethod
     def _remote_refusal(dst: str, frame: framing.Frame) -> BaseException:
@@ -371,65 +451,44 @@ class TcpTransport(Transport):
             return error
         return TransportError(f"transport-level failure at {dst!r}: {error!r}")
 
-    async def _request(
-        self, dst: str, request_id: int, data: bytes, limit: float
-    ) -> framing.Frame:
-        return await asyncio.wait_for(
-            self._request_once(dst, request_id, data), timeout=limit
-        )
-
-    async def _request_once(self, dst: str, request_id: int, data: bytes) -> framing.Frame:
-        connection = await self._acquire(dst)
-        try:
-            return await connection.request(request_id, data)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
-            self._invalidate(dst)
-            raise CoreUnreachableError(
-                f"connection to node {dst!r} failed mid-request: {exc!r}"
-            ) from exc
-
-    async def _post(self, dst: str, data: bytes) -> None:
-        connection = await self._acquire(dst)
-        try:
-            await connection.post(data)
-        except (ConnectionError, OSError) as exc:
-            self._invalidate(dst)
-            raise CoreUnreachableError(
-                f"connection to node {dst!r} failed while posting: {exc!r}"
-            ) from exc
-
-    async def _acquire(self, dst: str) -> _Connection:
-        """Cached connection to ``dst``, reconnecting under the RetryPolicy."""
-        connection = self._connections.get(dst)
-        if connection is not None and not connection.closed:
-            return connection
+    def _acquire(self, dst: str, deadline: float) -> _Connection | None:
+        """Cached connection to ``dst``, reconnecting under the RetryPolicy;
+        None once ``deadline`` passes, backoff sleeps included."""
+        with self._lock:
+            connection = self._connections.get(dst)
+        if connection is not None:
+            if connection.alive():
+                return connection
+            connection.close(CoreUnreachableError(f"connection to node {dst!r} was lost"))
         address = self._peers.get(dst)
         if address is None:
             raise CoreUnreachableError(f"node {dst!r} is not on the network")
-        policy = self._reconnect
         attempt = 1
-        while True:
+        while (remaining := deadline - time.monotonic()) > 0.0:
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(address[0], address[1]),
-                    timeout=self._connect_timeout,
-                )
-                connection = _Connection(dst, reader, writer, self._loop)
-                self._connections[dst] = connection
-                return connection
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                if attempt >= policy.max_attempts:
+                sock = socket.create_connection(address, min(self._connect_timeout, remaining))
+                break
+            except OSError as exc:
+                if attempt >= self._reconnect.max_attempts:
                     raise CoreUnreachableError(
                         f"cannot connect to node {dst!r} at "
                         f"{address[0]}:{address[1]} after {attempt} attempts: {exc!r}"
                     ) from exc
-                await asyncio.sleep(policy.backoff(attempt))
-                attempt += 1
-
-    def _invalidate(self, dst: str) -> None:
-        connection = self._connections.pop(dst, None)
-        if connection is not None:
-            connection.close()
+            time.sleep(max(0.0, min(self._reconnect.backoff(attempt), deadline - time.monotonic())))
+            attempt += 1
+        else:
+            return None
+        sock.settimeout(None)
+        fresh = _Connection(dst, sock)
+        with self._lock:
+            connection = self._connections.get(dst)
+            if not self._closed and (connection is None or connection.error is not None):
+                self._connections[dst] = connection = fresh
+        if connection is not fresh:  # closed meanwhile, or another sender won
+            fresh.close()
+            if self._closed or connection is None:
+                raise TransportError("transport is closed")
+        return connection
 
     def probe(self, dst: str, timeout: float | None = None) -> bool:
         """Try to establish (or reuse) a connection to ``dst``.
@@ -437,86 +496,85 @@ class TcpTransport(Transport):
         Readiness check for process bring-up: True once the peer's
         listener accepts.  Never raises on ordinary connection failure.
         """
+        deadline = time.monotonic() + (timeout or self._connect_timeout)
         try:
-            self._run(self._acquire(dst), timeout=timeout or self._connect_timeout)
-        except (CoreError, TransportError, TimeoutError, OSError):
+            return self._acquire(dst, deadline) is not None
+        except (CoreError, TransportError):
             return False
-        return True
 
     # -- delivery: receiving side --------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = framing.FrameDecoder()
-        try:
-            while True:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                try:
-                    frames = decoder.feed(chunk)
-                except framing.FramingError:
-                    logger.warning("undecodable stream from peer; dropping connection",
-                                   exc_info=True)
-                    break
-                for frame in frames:
-                    self._executor.submit(self._dispatch_frame, frame, writer)
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
             try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - teardown race
-                pass
+                sock, _address = listener.accept()
+            except OSError as exc:
+                if exc.errno not in (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM):
+                    return  # the listener was shut down
+                logger.warning("accept ran out of resources; retrying in 1s", exc_info=True)
+                time.sleep(1.0)
+                continue
+            connection = _Connection("inbound", sock)
+            with self._lock:
+                if not self._closed:
+                    self._accepted.add(connection)
+                    self._workers.submit(self._serve, connection)
+                    continue
+            connection.close()
 
-    def _dispatch_frame(self, frame: framing.Frame, writer: asyncio.StreamWriter) -> None:
-        """Run one incoming frame through its node handler (executor thread)."""
-        oneway = frame.type == framing.ONEWAY
-
-        def respond(data: bytes) -> None:
-            if not oneway:
-                self._loop.call_soon_threadsafe(self._write_reply, writer, data)
-
-        error = self._refusal(frame.src, frame.dst)
-        if error is None and frame.dst not in self._handlers:
-            error = CoreUnreachableError(
-                f"node {frame.dst!r} is not served by this transport"
-            )
-        if error is not None:
-            respond(framing.encode_error(frame.request_id, error))
-            return
-        envelope = frame.to_envelope()
-        envelope.msg_id = next(self._msg_ids)
-        self.trace.append(envelope)
-        handler = self._handlers[frame.dst]
+    def _serve(self, connection: _Connection) -> None:
+        """Read a request, pass the read role on, and answer the request."""
+        backlog = connection.backlog
         try:
-            reply = handler(envelope)
-        except BaseException as exc:  # noqa: BLE001 - crossing by value
-            # Node handlers (RpcEndpoint._dispatch) serialize their own
-            # failures; anything escaping is a transport-level fault.
-            if oneway:
-                logger.warning("one-way %s handler at %r failed",
-                               frame.kind, frame.dst, exc_info=True)
-                return
-            respond(framing.encode_error(frame.request_id, exc))
+            while not backlog:
+                backlog.extend(connection.read_frames())
+        except framing.FramingError:
+            logger.warning("undecodable stream from peer; dropping connection", exc_info=True)
+        except OSError:
+            pass
+        if backlog and not self._closed:
+            frame = backlog.popleft()  # before the next reader can see the backlog
+            self._workers.submit(self._serve, connection)
+            self._dispatch_frame(frame, connection)
             return
+        with self._lock:
+            self._accepted.discard(connection)
+        connection.close()
+
+    def _dispatch_frame(self, frame: framing.Frame, connection: _Connection) -> None:
+        """Run one incoming frame through its node handler; write the reply."""
+        oneway = frame.type == framing.ONEWAY
+        error: BaseException | None = self._refusal(frame.src, frame.dst)
+        if error is None and frame.dst not in self._handlers:
+            error = CoreUnreachableError(f"node {frame.dst!r} is not served by this transport")
+        if error is None:
+            envelope = frame.to_envelope()
+            envelope.msg_id = next(self._msg_ids)
+            self.trace.append(envelope)
+            try:
+                reply = self._handlers[frame.dst](envelope)
+            except BaseException as exc:  # noqa: BLE001 - crossing by value
+                # Node handlers (RpcEndpoint._dispatch) serialize their own
+                # failures; anything escaping is a transport-level fault.
+                if oneway:
+                    logger.warning("one-way %s handler at %r failed",
+                                   frame.kind, frame.dst, exc_info=True)
+                error = exc
+            else:
+                if not isinstance(reply, bytes):
+                    error = TransportError(
+                        f"handler at {frame.dst!r} returned "
+                        f"{type(reply).__name__}, expected bytes"
+                    )
         if oneway:
             return
-        if not isinstance(reply, bytes):
-            respond(framing.encode_error(
-                frame.request_id,
-                TransportError(
-                    f"handler at {frame.dst!r} returned "
-                    f"{type(reply).__name__}, expected bytes"
-                ),
-            ))
-            return
-        respond(framing.encode_reply(frame.request_id, reply))
-
-    def _write_reply(self, writer: asyncio.StreamWriter, data: bytes) -> None:
-        if not writer.is_closing():
-            writer.write(data)
+        try:
+            connection.write(
+                framing.encode_reply(frame.request_id, reply) if error is None
+                else framing.encode_error(frame.request_id, error)
+            )
+        except CoreUnreachableError:
+            pass  # the sender hung up; its own read reports the loss
 
     # -- chaos hooks -----------------------------------------------------------
 
@@ -571,34 +629,21 @@ class TcpTransport(Transport):
     # -- lifecycle --------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop listeners, drop connections, and join the loop thread."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
-            future.result(self._connect_timeout)
-        except Exception:  # noqa: BLE001 - best-effort teardown
-            logger.warning("TcpTransport shutdown was not clean", exc_info=True)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(timeout=self._connect_timeout)
-        if not self._loop.is_running():
-            self._loop.close()
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        """Stop listeners, fail in-flight sends, and close every connection."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            connections = [*self._connections.values(), *self._accepted]
+            self._connections.clear()
+            self._accepted.clear()
+        for name in list(self._listeners):
+            self.deregister(name)
+        for connection in connections:
+            connection.close(TransportError("transport is closed"))
+        self._workers.shutdown()
         self._handlers.clear()
 
-    async def _shutdown(self) -> None:
-        for server in self._servers.values():
-            server.close()
-        for connection in list(self._connections.values()):
-            connection.close()
-        self._connections.clear()
-        self._servers.clear()
-        current = asyncio.current_task()
-        for task in asyncio.all_tasks(self._loop):
-            if task is not current:
-                task.cancel()
-
     def __repr__(self) -> str:
-        local = sorted(self._servers)
+        local = sorted(self._listeners)
         return f"<TcpTransport host={self._host} local={local} peers={len(self._peers)}>"

@@ -13,7 +13,7 @@ Two implementations ship:
 - :class:`~repro.net.simnet.SimTransport` — the deterministic simulated
   network (virtual clock, configurable links, partitions).  Default
   backend for tests and benchmarks.
-- :class:`~repro.net.tcp.TcpTransport` — real asyncio TCP sockets with
+- :class:`~repro.net.tcp.TcpTransport` — real blocking TCP sockets with
   length-prefixed framing, so Cores run as separate OS processes on one
   or many hosts (see :mod:`repro.cluster.launch`).
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -46,22 +50,35 @@ class TestRequestReply:
 
     def test_concurrent_senders_multiplex_one_connection(self, pair):
         _hub_a, hub_b = pair
+        senders = 32
         results: list[bytes] = []
         errors: list[BaseException] = []
 
         def call(i: int) -> None:
             try:
-                results.append(hub_b.send(envelope("b", "a", b"%d" % i)))
+                for round_ in range(5):
+                    payload = b"%d.%d" % (i, round_)
+                    reply = hub_b.send(envelope("b", "a", payload))
+                    results.append(reply)
+                    if reply != b"a-got:" + payload:
+                        errors.append(AssertionError(f"{payload!r} answered with {reply!r}"))
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=15)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the senders' read turns finely
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(senders)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=15)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert sorted(results) == sorted(b"a-got:%d" % i for i in range(8))
+        assert len(results) == 5 * senders
+        assert len(hub_b._connections) == 1
 
     def test_nested_synchronous_callback(self, pair):
         """A handler that itself calls back over the network (A->B->A)."""
@@ -72,6 +89,81 @@ class TestRequestReply:
         )
         hub_b.add_peer("a", hub_a.local_address("a"))  # listener moved ports
         assert hub_b.send(envelope("b", "a")) == b"a+b-got:nested"
+
+    def test_reentrant_chain_reuses_both_connections(self, pair):
+        """b -> a -> b -> a ... six calls deep, over the same two connections."""
+        hub_a, hub_b = pair
+
+        def relay(hub, src, dst):
+            def handler(env):
+                depth = int(env.payload)
+                if depth == 0:
+                    return src.encode()
+                inner = hub.send(envelope(src, dst, b"%d" % (depth - 1)))
+                return src.encode() + inner
+            return handler
+
+        hub_a.deregister("a")
+        hub_b.deregister("b")
+        hub_a.register("a", relay(hub_a, "a", "b"))
+        hub_b.register("b", relay(hub_b, "b", "a"))
+        hub_a.add_peer("b", hub_b.local_address("b"))
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        started = time.monotonic()
+        assert hub_b.send(envelope("b", "a", b"5")) == b"ababab"
+        assert hub_b.send(envelope("b", "a", b"5")) == b"ababab"
+        assert time.monotonic() - started < 5.0
+        assert list(hub_a._connections) == ["b"]
+        assert list(hub_b._connections) == ["a"]
+
+    def test_slow_request_does_not_block_the_connection(self, pair):
+        hub_a, hub_b = pair
+        entered = threading.Event()
+
+        def handler(env):
+            if env.payload == b"slow":
+                entered.set()
+                time.sleep(1.5)
+            return b"done:" + env.payload
+
+        hub_a.deregister("a")
+        hub_a.register("a", handler)
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        slow_reply: list[bytes] = []
+        slow = threading.Thread(
+            target=lambda: slow_reply.append(hub_b.send(envelope("b", "a", b"slow")))
+        )
+        slow.start()
+        assert entered.wait(timeout=5)
+        connection = hub_b._connections["a"]
+        started = time.monotonic()
+        assert hub_b.send(envelope("b", "a", b"fast")) == b"done:fast"
+        assert time.monotonic() - started < 0.5
+        assert hub_b._connections["a"] is connection
+        slow.join(timeout=5)
+        assert not slow.is_alive()
+        assert slow_reply == [b"done:slow"]
+
+    def test_late_reply_is_dropped(self, pair):
+        """A reply arriving after its deadline is not taken as another's."""
+        hub_a, hub_b = pair
+
+        def handler(env):
+            if env.payload == b"late":
+                time.sleep(0.6)
+            return b"re:" + env.payload
+
+        hub_a.deregister("a")
+        hub_a.register("a", handler)
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        assert hub_b.send(envelope("b", "a", b"warm")) == b"re:warm"
+        connection = hub_b._connections["a"]
+        with pytest.raises(DeadlineExceededError):
+            hub_b.send(envelope("b", "a", b"late"), timeout=0.2)
+        time.sleep(0.8)  # the late reply is now waiting on the socket
+        for i in range(5):
+            assert hub_b.send(envelope("b", "a", b"%d" % i)) == b"re:%d" % i
+        assert hub_b._connections["a"] is connection
 
     def test_oneway_post(self, pair):
         hub_a, hub_b = pair
@@ -242,6 +334,57 @@ class TestLifecycle:
         hub.register("x", lambda env: b"")
         hub.close()
         hub.close()
+
+    def test_close_fails_an_inflight_send_typed(self, pair):
+        hub_a, hub_b = pair
+        entered = threading.Event()
+        release = threading.Event()
+
+        def handler(env):
+            entered.set()
+            release.wait(10)
+            return b"too late"
+
+        hub_a.deregister("a")
+        hub_a.register("a", handler)
+        hub_b.add_peer("a", hub_a.local_address("a"))
+        outcome: list[BaseException | bytes] = []
+
+        def call() -> None:
+            try:
+                outcome.append(hub_b.send(envelope("b", "a")))
+            except BaseException as exc:  # noqa: BLE001 - the type is the point
+                outcome.append(exc)
+
+        sender = threading.Thread(target=call)
+        sender.start()
+        try:
+            assert entered.wait(timeout=5)
+            hub_b.close()
+            sender.join(timeout=1.0)
+            assert not sender.is_alive()
+        finally:
+            release.set()
+            sender.join(timeout=10)
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], (TransportError, CoreUnreachableError))
+
+    def test_unclosed_hubs_do_not_block_interpreter_exit(self):
+        script = (
+            "from repro.net import Envelope, MessageKind, TcpTransport\n"
+            "a, b = TcpTransport(), TcpTransport()\n"
+            "a.register('a', lambda env: b'ok')\n"
+            "b.register('b', lambda env: b'ok')\n"
+            "a.add_peer('b', b.local_address('b'))\n"
+            "b.add_peer('a', a.local_address('a'))\n"
+            "env = Envelope(src='b', dst='a', kind=MessageKind.HEARTBEAT, payload=b'x')\n"
+            "assert b.send(env) == b'ok'\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], timeout=30, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_send_after_close_fails(self):
         hub = TcpTransport()
